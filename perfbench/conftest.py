@@ -1,0 +1,9 @@
+"""Make the harness modules and the program under test importable."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
