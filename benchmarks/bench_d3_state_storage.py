@@ -51,7 +51,15 @@ def _filled(store_cls):
 @pytest.mark.parametrize("store_cls", [BlobResourceStore, XmlResourceStore])
 def bench_d3_point_load(benchmark, store_cls):
     store = _filled(store_cls)
-    result = benchmark(store.load, "ES", "job-00150")
+
+    def cold_load():
+        # Time the blob decode the §5 design pays per load, not a hit
+        # in the blob store's per-row decode memo.
+        if store_cls is BlobResourceStore:
+            store.decode_cache.clear()
+        return store.load("ES", "job-00150")
+
+    result = benchmark(cold_load)
     assert result[_OWNER] == "user3"
 
 

@@ -2,13 +2,12 @@
 
 The Fig. 1 pipeline pays a 0.8 ms database access to load resource state
 on *every* dispatch.  :class:`CachedResourceStore` keeps the **encoded
-blob** of each resource it has seen; a cache hit decodes the blob instead
-of touching the database, so the wrapper can elide the ``db_load`` delay
-(see ``wsrf/tooling.py``).  Caching the serialized bytes — not the state
-dict — guarantees the same value-isolation as the real store: every load
-returns a freshly decoded copy, so callers mutating the returned dict
-(or the Elements inside it) can never corrupt the cache, exactly as they
-cannot corrupt a database row.
+blob** of each resource it has seen; a cache hit decodes the blob (through
+the inner store's per-row decode memo) instead of touching the database,
+so the wrapper can elide the ``db_load`` delay (see ``wsrf/tooling.py``).
+Every load returns a value-isolated copy, so callers mutating the
+returned dict (or the Elements inside it) can never corrupt the cache,
+exactly as they cannot corrupt a database row.
 
 The cache is write-through: ``create``/``save`` always hit the inner
 store first and only then update the cached blob, and ``destroy``
@@ -23,13 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.db.resource_store import (
-    BlobResourceStore,
-    DecodeCache,
-    State,
-    decode_state,
-    encode_state,
-)
+from repro.db.resource_store import BlobResourceStore, DecodeCache, State
 
 
 class CachedResourceStore:
@@ -51,10 +44,12 @@ class CachedResourceStore:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
-        #: optional :class:`DecodeCache` shared with the inner store (the
-        #: codec fast path sets it); a blob-cache hit then also skips the
-        #: XML re-parse while keeping per-load value isolation
-        self.decode_cache: Optional[DecodeCache] = None
+
+    @property
+    def decode_cache(self) -> DecodeCache:
+        """The inner store's per-row decode memo: a blob-cache hit also
+        skips the XML re-parse while keeping per-load value isolation."""
+        return self.inner.decode_cache
 
     @staticmethod
     def _key(service: str, resource_id: str) -> str:
@@ -90,18 +85,14 @@ class CachedResourceStore:
         return self.inner.exists(service, resource_id)
 
     def load(self, service: str, resource_id: str) -> State:
-        blob = self._blobs.get(self._key(service, resource_id))
+        key = self._key(service, resource_id)
+        blob = self._blobs.get(key)
         if blob is not None:
             self.hits += 1
-            if self.decode_cache is not None:
-                return self.decode_cache.decode(blob)
-            return decode_state(blob)
-        self.misses += 1
-        state = self.inner.load(service, resource_id)
-        cache = self.decode_cache
-        blob = encode_state(state) if cache is None else cache.encode(state)
-        self._blobs[self._key(service, resource_id)] = blob
-        return state
+        else:
+            self.misses += 1
+            blob = self._blobs[key] = self.inner.load_blob(service, resource_id)
+        return self.inner.decode_cache.decode(key, blob)
 
     def save(self, service: str, resource_id: str, state: State) -> None:
         self._blobs[self._key(service, resource_id)] = self.inner.save(

@@ -32,15 +32,10 @@ def encode_state(state: State) -> bytes:
     return to_string(root).encode("utf-8")
 
 
-def _parse_state_tree(blob: bytes) -> Element:
+def decode_state(blob: bytes) -> State:
     root = parse(blob.decode("utf-8"))
     if root.tag != _STATE_TAG:
         raise ValueError(f"not a resource-state document: {root.tag}")
-    return root
-
-
-def decode_state(blob: bytes) -> State:
-    root = _parse_state_tree(blob)
     return {child.tag: from_typed_element(child) for child in root.children}
 
 
@@ -62,61 +57,60 @@ def _copy_value(value: Any) -> Any:
 
 
 class DecodeCache:
-    """Content-addressed memo for :func:`decode_state` (docs/performance.md).
+    """Per-row memo for :func:`decode_state` (docs/performance.md).
 
-    Keyed on the immutable encoded blob bytes: identical bytes always
-    decode to the same document, so the decoded state can be reused with
-    no invalidation protocol at all — destroy/recreate and checkpoint
-    restore change *which bytes a store serves*, never what bytes already
-    seen mean.  Value isolation follows the same discipline as
-    :class:`~repro.db.CachedResourceStore`: the cached state dict is
-    never handed out — every load (hit or miss) returns a deep copy built
-    by :func:`_copy_value`, so callers can mutate what they get without
-    corrupting the cache.
+    One entry per live row: ``"{service}|{rid}"`` maps to the row's
+    bytes and their decoded state.  A hit requires the stored bytes to
+    equal the bytes the row holds now, so a row rewritten behind the
+    cache's back (a checkpoint restore, a recreate) is decoded afresh
+    rather than served stale — no invalidation protocol is needed for
+    correctness.  Dropping entries (:meth:`drop`, :meth:`clear`) only
+    keeps the memo as small as the live data.
 
-    The table is bounded; past ``capacity`` distinct blobs the oldest
-    entry is dropped (FIFO — the dispatch working set is a few dozen
-    resources, so anything reasonable works).
+    The cached state dict is never handed out: every load (hit or miss)
+    returns a deep copy built by :func:`_copy_value`, so callers can
+    mutate what they get without corrupting the cache.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "_states")
+    __slots__ = ("hits", "misses", "_rows")
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError("DecodeCache capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
-        self._states: Dict[bytes, State] = {}
+        self._rows: Dict[str, Tuple[bytes, State]] = {}
 
-    def decode(self, blob: bytes) -> State:
-        state = self._states.get(blob)
-        if state is None:
-            self.misses += 1
-            root = _parse_state_tree(blob)
-            state = {child.tag: from_typed_element(child) for child in root.children}
-            if len(self._states) >= self.capacity:
-                self._states.pop(next(iter(self._states)))
-            self._states[blob] = state
-        else:
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def decode(self, key: str, blob: bytes) -> State:
+        entry = self._rows.get(key)
+        if entry is not None and entry[0] == blob:
             self.hits += 1
-        return {key: _copy_value(item) for key, item in state.items()}
+            state = entry[1]
+        else:
+            self.misses += 1
+            state = decode_state(blob)
+            self._rows[key] = (blob, state)
+        return {name: _copy_value(item) for name, item in state.items()}
 
-    def encode(self, state: State) -> bytes:
-        """Encode *state* and warm the cache under the produced bytes.
+    def encode(self, key: str, state: State) -> bytes:
+        """Encode *state* as row *key*'s new bytes and memo it.
 
         The save path already has the decoded form in hand, so the next
-        load of these exact bytes can skip the XML parse entirely
-        (encode once, decode never).  A value-isolated copy goes into
-        the table — the caller keeps mutating its own dict after save.
+        load of the row skips the XML parse entirely (encode once, decode
+        never).  A value-isolated copy goes into the table — the caller
+        keeps mutating its own dict after save.
         """
         blob = encode_state(state)
-        if blob not in self._states:
-            if len(self._states) >= self.capacity:
-                self._states.pop(next(iter(self._states)))
-            self._states[blob] = {key: _copy_value(item) for key, item in state.items()}
+        self._rows[key] = (blob, {name: _copy_value(item) for name, item in state.items()})
         return blob
+
+    def drop(self, key: str) -> None:
+        self._rows.pop(key, None)
+
+    def clear(self) -> None:
+        self._rows.clear()
 
 
 class BlobResourceStore:
@@ -141,23 +135,19 @@ class BlobResourceStore:
         self.loads = 0
         self.saves = 0
         self.scans = 0
-        #: optional :class:`DecodeCache` (the perf layer's codec fast
-        #: path attaches one; None keeps the from-scratch decode path)
-        self.decode_cache: Optional[DecodeCache] = None
+        #: per-row decode memo (the codec fast path, docs/performance.md)
+        self.decode_cache = DecodeCache()
 
     @staticmethod
     def _key(service: str, resource_id: str) -> str:
         return f"{service}|{resource_id}"
 
-    def _encode(self, state: State) -> bytes:
-        cache = self.decode_cache
-        return encode_state(state) if cache is None else cache.encode(state)
-
     def create(self, service: str, resource_id: str, state: State) -> bytes:
-        blob = self._encode(state)
+        key = self._key(service, resource_id)
+        blob = self.decode_cache.encode(key, state)
         self.db.table(self.TABLE).insert(
             {
-                "rid": self._key(service, resource_id),
+                "rid": key,
                 "service": service,
                 "resource_id": resource_id,
                 "state": blob,
@@ -169,31 +159,32 @@ class BlobResourceStore:
     def exists(self, service: str, resource_id: str) -> bool:
         return self.db.table(self.TABLE).get(self._key(service, resource_id)) is not None
 
-    def load(self, service: str, resource_id: str) -> State:
+    def load_blob(self, service: str, resource_id: str) -> bytes:
+        """One counted database load: the row's encoded state bytes."""
         row = self.db.table(self.TABLE).get(self._key(service, resource_id))
         if row is None:
             raise NoSuchResource(f"{service}/{resource_id}")
         self.loads += 1
-        cache = self.decode_cache
-        if cache is not None:
-            return cache.decode(row["state"])
-        return decode_state(row["state"])
+        return row["state"]
+
+    def load(self, service: str, resource_id: str) -> State:
+        blob = self.load_blob(service, resource_id)
+        return self.decode_cache.decode(self._key(service, resource_id), blob)
 
     def save(self, service: str, resource_id: str, state: State) -> bytes:
-        blob = self._encode(state)
-        count = self.db.table(self.TABLE).update(
-            {"state": blob},
-            equals={"rid": self._key(service, resource_id)},
-        )
+        key = self._key(service, resource_id)
+        blob = self.decode_cache.encode(key, state)
+        count = self.db.table(self.TABLE).update({"state": blob}, equals={"rid": key})
         if count == 0:
+            self.decode_cache.drop(key)
             raise NoSuchResource(f"{service}/{resource_id}")
         self.saves += 1
         return blob
 
     def destroy(self, service: str, resource_id: str) -> None:
-        count = self.db.table(self.TABLE).delete(
-            equals={"rid": self._key(service, resource_id)}
-        )
+        key = self._key(service, resource_id)
+        self.decode_cache.drop(key)
+        count = self.db.table(self.TABLE).delete(equals={"rid": key})
         if count == 0:
             raise NoSuchResource(f"{service}/{resource_id}")
 
@@ -220,8 +211,9 @@ class BlobResourceStore:
 
         Rows are rewritten directly — the D-3 ``loads``/``saves``
         counters track dispatch-path database work, and a host bounce
-        is not dispatch work.
+        is not dispatch work.  The decode memo is emptied with the rows.
         """
+        self.decode_cache.clear()
         table = self.db.table(self.TABLE)
         table.delete()
         for rid in sorted(snap):

@@ -22,7 +22,14 @@ from repro.gridapp.filesystem_service import (
 from repro.gridapp.jobset import JobSetSpec
 from repro.net import Network
 from repro.osim.filesystem import FileContent, FsError, SimFileSystem
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.soap import (
+    SoapEnvelope,
+    SoapFault,
+    decode_envelope,
+    encode_envelope,
+    from_typed_element,
+    to_typed_element,
+)
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsn import NotificationListener
 from repro.wsrf.client import WsrfClient
@@ -70,13 +77,7 @@ class ClientFileServer:
         )
 
     def handle(self, payload: str, ctx):
-        prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = decode_envelope(self.network, payload)
         body = envelope.body
         if body.tag != QName(UVA, "Read"):
             fault = SoapFault("soap:Client", "file server only supports Read")
@@ -109,13 +110,7 @@ class ClientFileServer:
             action=request.action + "Response",
             relates_to=request.addressing.message_id,
         )
-        response = SoapEnvelope(headers, body)
-        prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
-        if prof is None:
-            return response.serialize(codec)
-        with prof.region("soap.encode"):
-            return response.serialize(codec)
+        return encode_envelope(self.network, SoapEnvelope(headers, body))
 
     def close(self) -> None:
         self.network.host(self.host_name).unbind(FILE_SERVER_PORT)

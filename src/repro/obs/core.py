@@ -138,15 +138,10 @@ class Observability:
             reg.counter("net.faults", kind=kind).set_total(stats.faults[kind])
         reg.counter("net.retries").set_total(stats.retries)
         reg.counter("net.redeliveries").set_total(stats.redeliveries)
-        # Codec fast path (docs/performance.md): these metrics exist only
-        # when an EnvelopeCache is attached, so default exports stay
-        # byte-identical.
-        codec = getattr(network, "codec", None)
-        if codec is not None:
-            reg.counter("perf.envelope_parse_hits").set_total(codec.parse_hits)
-            reg.counter("perf.envelope_parse_misses").set_total(codec.parse_misses)
-            reg.counter("perf.envelope_encode_hits").set_total(codec.encode_hits)
-            reg.counter("perf.envelope_encode_misses").set_total(codec.encode_misses)
+        # Codec fast path (docs/performance.md): the encode→parse bridge.
+        reg.counter("perf.envelope_parse_hits").set_total(network.codec.parse_hits)
+        reg.counter("perf.envelope_parse_misses").set_total(network.codec.parse_misses)
+        reg.counter("perf.envelope_encode_misses").set_total(network.codec.encode_misses)
 
     def _collect_wrapper(
         self, wrapper: Any, seen_stores: Set[int], seen_machines: Set[str]
@@ -180,8 +175,8 @@ class Observability:
                 reg.counter("perf.cache_misses", **ids).set_total(
                     int(getattr(store, "misses", 0))
                 )
-            # Codec fast path: decode-cache effectiveness, present only
-            # when the perf layer attached a DecodeCache to this store.
+            # Codec fast path: decode-cache effectiveness, present for
+            # every blob-backed store (the XML and SQL backends have none).
             decode_cache = getattr(store, "decode_cache", None)
             if decode_cache is not None:
                 reg.counter("perf.decode_cache_hits", **ids).set_total(

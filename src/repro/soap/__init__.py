@@ -4,7 +4,9 @@ Envelopes are real XML: every message crossing the simulated network is
 serialized with :func:`repro.xmlx.to_string` and re-parsed on arrival, so
 header processing (WS-Addressing routing, WS-Security tokens, WSRF EPR
 resolution) happens against parsed documents exactly as in the paper's
-ASP.NET stack.
+ASP.NET stack.  The receiver of a text the sender has just encoded is
+handed the sender's tree instead of re-parsing it (:class:`EnvelopeCache`,
+reached through :func:`encode_envelope` / :func:`decode_envelope`).
 
 Two message-exchange patterns, matching §4.1 of the paper:
 
@@ -15,8 +17,16 @@ Two message-exchange patterns, matching §4.1 of the paper:
   from a void-returning method, which still sends an empty reply.
 """
 
-from repro.soap.envelope import EnvelopeCache, SoapEnvelope
+from repro.soap.envelope import EnvelopeCache, SoapEnvelope, decode_envelope, encode_envelope
 from repro.soap.fault import SoapFault
 from repro.soap.types import from_typed_element, to_typed_element
 
-__all__ = ["EnvelopeCache", "SoapEnvelope", "SoapFault", "from_typed_element", "to_typed_element"]
+__all__ = [
+    "EnvelopeCache",
+    "SoapEnvelope",
+    "SoapFault",
+    "decode_envelope",
+    "encode_envelope",
+    "from_typed_element",
+    "to_typed_element",
+]

@@ -2,121 +2,99 @@
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
+
+if TYPE_CHECKING:
+    from repro.net import Network
 
 _ENVELOPE = QName.of(NS.SOAP, "Envelope")
 _HEADER = QName.of(NS.SOAP, "Header")
 _BODY = QName.of(NS.SOAP, "Body")
 
+#: most encoded wire texts the bridge holds before their receiver parses
+#: them; only messages that are never parsed (dropped in flight, sent to
+#: a closed port) linger, and past this bound the oldest is forgotten
+BRIDGE_CAPACITY = 256
+
 
 class EnvelopeCache:
-    """Parse-once / encode-once cache for identical wire messages.
+    """Encode→parse bridge for wire messages (docs/performance.md).
 
-    The codec fast path (docs/performance.md) hangs one of these off the
-    simulated :class:`~repro.net.Network` (``network.codec``); endpoints
-    pass it to :meth:`SoapEnvelope.serialize` / ``deserialize``.
-
-    *Parse side* — keyed on the raw wire text.  The encoder registers a
-    pristine copy of the tree it just walked under the wire text it
-    produced, and the receiving endpoint's parse of that exact text
-    *consumes* the entry: the copy is handed over wholesale (move
+    Every simulated :class:`~repro.net.Network` owns one
+    (``network.codec``); endpoints reach it through
+    :func:`encode_envelope` / :func:`decode_envelope`.  The encoder
+    registers a pristine copy of the tree it just walked under the wire
+    text it produced, and the receiving endpoint's parse of that exact
+    text *consumes* the entry: the copy is handed over wholesale (move
     semantics — exactly one receiver, free to mutate), so the common
-    send→deliver round trip pays one tree copy and zero re-parses.
-    Texts seen again after that (retry resends, broker redeliveries)
-    are re-cached on their next sighting and served as deep copies from
-    then on, so repeated deliveries can never observe each other's
-    mutations (most handlers do mutate — EPR resolution pops headers).
-    Texts that never passed through :meth:`encode` (snapshot restores,
-    hand-built payloads) take the same lazy second-sighting route.
+    send→deliver round trip pays one tree copy and zero re-parses.  Any
+    other parse — a retry resend, a broker redelivery, a text that never
+    passed through :meth:`encode` — builds a fresh tree, so repeated
+    deliveries can never observe each other's mutations (most handlers
+    do mutate — EPR resolution pops headers).
 
-    *Encode side* — a per-instance memo (weak, so it dies with the
-    envelope): serializing the same :class:`SoapEnvelope` object twice
-    returns the identical string without re-walking the tree.  The
-    client's retry loop and ``wire_size`` both re-serialize, which made
-    every retried request pay the encoder twice.
+    ``encode_hits`` stays 0 (every envelope is serialized once); it is
+    kept beside the other three counters for their readers.
     """
 
-    __slots__ = ("capacity", "parse_hits", "parse_misses", "encode_hits", "encode_misses",
-                 "_trees", "_fresh", "_seen", "_encoded")
+    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses", "_fresh")
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("EnvelopeCache capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         #: cache effectiveness counters for the obs registry
         self.parse_hits = 0
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
-        #: sticky entries (texts that repeated) — hits serve deep copies
-        self._trees: Dict[str, Element] = {}
         #: move-once entries from the encode bridge — the first parse of
         #: the text consumes the entry and owns the tree outright
         self._fresh: Dict[str, Element] = {}
-        #: texts seen exactly once — insertion into _trees is lazy (see
-        #: parse) so single-transmission messages never pay a tree copy
-        self._seen: Dict[str, bool] = {}
-        self._encoded: "weakref.WeakKeyDictionary[SoapEnvelope, str]" = (
-            weakref.WeakKeyDictionary()
-        )
+
+    def __len__(self) -> int:
+        return len(self._fresh)
 
     def parse(self, text: str) -> "SoapEnvelope":
-        tree = self._trees.get(text)
-        if tree is not None:
-            self.parse_hits += 1
-            return SoapEnvelope.from_element(tree.copy())
         tree = self._fresh.pop(text, None)
-        if tree is not None:
-            # Consume the encoder's pristine copy — this receiver is the
-            # only owner, so no defensive copy is needed.  Remember the
-            # text: if it crosses the wire again (retry, redelivery) the
-            # next parse re-caches it as a sticky entry.
+        if tree is None:
+            self.parse_misses += 1
+            tree = parse(text)
+        else:
             self.parse_hits += 1
-            if len(self._seen) >= self.capacity:
-                self._seen.pop(next(iter(self._seen)))
-            self._seen[text] = True
-            return SoapEnvelope.from_element(tree)
-        self.parse_misses += 1
-        tree = parse(text)
-        if text in self._seen:
-            # Second sighting: this text repeats (retry resend, broker
-            # redelivery) — cache the fresh tree and hand out a copy so
-            # the cached document stays pristine.
-            if len(self._trees) >= self.capacity:
-                self._trees.pop(next(iter(self._trees)))
-            self._trees[text] = tree
-            return SoapEnvelope.from_element(tree.copy())
-        # First sighting: most wire texts are unique (WS-Addressing
-        # MessageIDs), so don't pay a defensive copy for a tree that
-        # will never be served again — just remember the text.
-        if len(self._seen) >= self.capacity:
-            self._seen.pop(next(iter(self._seen)))
-        self._seen[text] = True
         return SoapEnvelope.from_element(tree)
 
     def encode(self, envelope: "SoapEnvelope") -> str:
-        wire = self._encoded.get(envelope)
-        if wire is None:
-            self.encode_misses += 1
-            tree = envelope.to_element()
-            wire = to_string(tree, xml_declaration=True)
-            self._encoded[envelope] = wire
-            # Bridge to the parse side: the receiver of this text takes
-            # the tree we just walked instead of re-parsing it.  Cache a
-            # copy — to_element() aliases the envelope's own body/header
-            # elements, and the handed-over document must be isolated
-            # from whatever the sender later does with its envelope.
-            if wire not in self._fresh and wire not in self._trees:
-                if len(self._fresh) >= self.capacity:
-                    self._fresh.pop(next(iter(self._fresh)))
-                self._fresh[wire] = tree.copy()
-        else:
-            self.encode_hits += 1
+        self.encode_misses += 1
+        tree = envelope.to_element()
+        wire = to_string(tree, xml_declaration=True)
+        # Cache a copy — to_element() aliases the envelope's own
+        # body/header elements, and the handed-over document must be
+        # isolated from whatever the sender later does with its envelope.
+        if len(self._fresh) >= BRIDGE_CAPACITY:
+            self._fresh.pop(next(iter(self._fresh)))
+        self._fresh[wire] = tree.copy()
         return wire
+
+
+def encode_envelope(network: "Network", envelope: "SoapEnvelope") -> str:
+    """Wire text of *envelope*, through *network*'s codec (profiled as
+    ``soap.encode`` when a profiler is attached)."""
+    prof = network.prof
+    if prof is None:
+        return network.codec.encode(envelope)
+    with prof.region("soap.encode"):
+        return network.codec.encode(envelope)
+
+
+def decode_envelope(network: "Network", text: str) -> "SoapEnvelope":
+    """Envelope for the wire *text*, through *network*'s codec (profiled
+    as ``soap.parse`` when a profiler is attached)."""
+    prof = network.prof
+    if prof is None:
+        return network.codec.parse(text)
+    with prof.region("soap.parse"):
+        return network.codec.parse(text)
 
 
 class SoapEnvelope:
@@ -127,9 +105,7 @@ class SoapEnvelope:
     non-addressing blocks such as the WS-Security header of §4.2.
     """
 
-    # __weakref__ lets EnvelopeCache's encode memo key on the instance
-    # without pinning it alive.
-    __slots__ = ("addressing", "extra_headers", "body", "__weakref__")
+    __slots__ = ("addressing", "extra_headers", "body")
 
     def __init__(
         self,
@@ -153,11 +129,7 @@ class SoapEnvelope:
         root.subelement(_BODY).append(self.body)
         return root
 
-    def serialize(self, cache: Optional[EnvelopeCache] = None) -> str:
-        """Wire text.  With *cache*, repeated serializations of this same
-        (by-then frozen) envelope reuse the first encoding."""
-        if cache is not None:
-            return cache.encode(self)
+    def serialize(self) -> str:
         return to_string(self.to_element(), xml_declaration=True)
 
     @classmethod
@@ -183,9 +155,7 @@ class SoapEnvelope:
         return cls(addressing, body.children[0], extra_headers=extra)
 
     @classmethod
-    def deserialize(cls, text: str, cache: Optional[EnvelopeCache] = None) -> "SoapEnvelope":
-        if cache is not None:
-            return cache.parse(text)
+    def deserialize(cls, text: str) -> "SoapEnvelope":
         return cls.from_element(parse(text))
 
     # -- conveniences ------------------------------------------------------------

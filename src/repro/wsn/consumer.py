@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.net import Network
-from repro.soap import SoapEnvelope
+from repro.soap import decode_envelope
 from repro.wsa import EndpointReference
 from repro.wsn.base_notification import NOTIFY, parse_notify_body
 from repro.wsn.topics import FULL_DIALECT, TopicExpression
@@ -64,13 +64,7 @@ class NotificationListener:
     # -- network server protocol -----------------------------------------------------
 
     def handle(self, payload: str, ctx):
-        prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = decode_envelope(self.network, payload)
         if envelope.body.tag != NOTIFY:
             raise ValueError(
                 f"notification listener received non-Notify {envelope.body.tag}"

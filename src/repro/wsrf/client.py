@@ -18,7 +18,14 @@ import numpy as np
 
 from repro.net import Network
 from repro.net.retry import RetryPolicy, with_retry
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.soap import (
+    SoapEnvelope,
+    SoapFault,
+    decode_envelope,
+    encode_envelope,
+    from_typed_element,
+    to_typed_element,
+)
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsrf.basefaults import BaseFault
 from repro.wsrf.lifetime import DESTROY, SET_TERMINATION_TIME
@@ -95,14 +102,9 @@ class WsrfClient:
         if action is None:
             action = f"{body.tag.uri}/{body.tag.local}"
         headers = AddressingHeaders(to_epr=epr, action=action, reply_to=reply_to)
-        envelope = SoapEnvelope(headers, body, extra_headers=extra_headers)
-        prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
-        if prof is None:
-            raw = envelope.serialize(codec)
-        else:
-            with prof.region("soap.encode"):
-                raw = envelope.serialize(codec)
+        raw = encode_envelope(
+            self.network, SoapEnvelope(headers, body, extra_headers=extra_headers)
+        )
         mid = headers.message_id
         obs = getattr(self.network, "obs", None)
         span = None
@@ -141,12 +143,7 @@ class WsrfClient:
                     rng=self._rng,
                     on_retry=self._count_retry,
                 )
-            if prof is None:
-                response = SoapEnvelope.deserialize(response_raw, codec)
-            else:
-                with prof.region("soap.parse"):
-                    response = SoapEnvelope.deserialize(response_raw, codec)
-            payload = response.body
+            payload = decode_envelope(self.network, response_raw).body
             if SoapFault.is_fault(payload):
                 fault = SoapFault.from_element(payload)
                 typed = BaseFault.from_soap_fault(fault)

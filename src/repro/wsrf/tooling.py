@@ -24,7 +24,14 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 from repro.db import BlobResourceStore, CachedResourceStore, NoSuchResource
 from repro.perf import PerfConfig
 from repro.sim import Lock
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.soap import (
+    SoapEnvelope,
+    SoapFault,
+    decode_envelope,
+    encode_envelope,
+    from_typed_element,
+    to_typed_element,
+)
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsrf.attributes import (
     ServiceSkeleton,
@@ -152,18 +159,6 @@ class WrapperService:
             self.store, CachedResourceStore
         ):
             self.store = CachedResourceStore(self.store)
-        if perf is not None and perf.codec_decode_cache:
-            # Codec fast path: identical blobs parse once.  The cache is
-            # shared by the blob cache's hit path and the inner store so
-            # every load route benefits (docs/performance.md).
-            from repro.db import DecodeCache
-
-            decode_cache = DecodeCache()
-            if isinstance(self.store, CachedResourceStore):
-                self.store.decode_cache = decode_cache
-                self.store.inner.decode_cache = decode_cache
-            elif isinstance(self.store, BlobResourceStore):
-                self.store.decode_cache = decode_cache
         self.address = machine.service_url(self.path)
 
         self._fields = collect_resource_fields(service_cls)
@@ -478,13 +473,7 @@ class WrapperService:
 
     def _handle_soap_impl(self, payload: str, delivery, pool=None):
         self.invocations += 1
-        prof = getattr(self.machine.network, "prof", None)
-        codec = getattr(self.machine.network, "codec", None)
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = decode_envelope(self.machine.network, payload)
         rid = envelope.addressing.to_epr.get(RESOURCE_ID)
         obs = getattr(self.machine.network, "obs", None)
         span = None
@@ -528,11 +517,7 @@ class WrapperService:
             action=envelope.action + "Response",
             relates_to=envelope.addressing.message_id,
         )
-        response = SoapEnvelope(headers, response_body)
-        if prof is None:
-            return response.serialize(codec)
-        with prof.region("soap.encode"):
-            return response.serialize(codec)
+        return encode_envelope(self.machine.network, SoapEnvelope(headers, response_body))
 
     def _charge_pending_db(self):
         # Resource create/destroy from author code is synchronous; the DB

@@ -12,13 +12,17 @@ Four concerns, one file:
   over trees richer than the ``test_xmlx`` one — several namespaces,
   default-namespace children, qualified attributes, entity-bearing
   text/tails;
-- coherence oracles for the two content-addressed caches
-  (:class:`repro.db.DecodeCache`, :class:`repro.soap.EnvelopeCache`):
-  value isolation, destroy-then-recreate, post-restore invalidation,
-  move-semantics of the encode→parse bridge — plus the codec-only
-  differential (byte-identical traces, timestamps included) the
-  wall-clock benchmark also pins.
+- coherence oracles for the two codec caches (the per-row
+  :class:`repro.db.DecodeCache`, the :class:`repro.soap.EnvelopeCache`
+  encode→parse bridge): value isolation, one entry per row,
+  destroy-then-recreate, post-restore re-decode, move semantics and the
+  bound on unclaimed bridge entries — plus a Fig. 3 run pinned to a
+  fixture recorded from the deleted uncached path (byte-identical
+  trace, timestamps included).
 """
+
+import json
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -27,13 +31,18 @@ from hypothesis import strategies as st
 from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache
 from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FileRef, JobSpec, Testbed
+from repro.net import Network
+from repro.obs import WallClockProfiler
 from repro.osim.programs import make_compute_program
-from repro.perf import PerfConfig
-from repro.soap import EnvelopeCache, SoapEnvelope
+from repro.sim import Environment
+from repro.soap import EnvelopeCache, SoapEnvelope, decode_envelope, encode_envelope
+from repro.soap.envelope import BRIDGE_CAPACITY
 from repro.wsa import AddressingHeaders, EndpointReference
+from repro.wsrf.client import WsrfClient
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
 
 UVA = NS.UVACG
+FIXTURE = pathlib.Path(__file__).resolve().parent / "fig3_uncached_codec.json"
 
 
 # -- satellite 1: malformed character references ------------------------------------
@@ -240,60 +249,84 @@ class TestDecodeCache:
     def test_decode_matches_uncached(self):
         cache = DecodeCache()
         blob = encode_state(_state(1))
-        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert _values_equal(cache.decode("Svc|r", blob), decode_state(blob))
         assert (cache.hits, cache.misses) == (0, 1)
-        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert _values_equal(cache.decode("Svc|r", blob), decode_state(blob))
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_returned_values_are_isolated(self):
         cache = DecodeCache()
         blob = encode_state(_state(1))
-        first = cache.decode(blob)
+        first = cache.decode("Svc|r", blob)
         first[QName(UVA, "Tags")].append("mutated")
         first[QName(UVA, "Meta")]["k"] = "mutated"
         first[QName(UVA, "Doc")].text = "mutated"
-        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert _values_equal(cache.decode("Svc|r", blob), decode_state(blob))
 
     def test_encode_warms_the_cache(self):
         cache = DecodeCache()
         state = _state(2)
-        blob = cache.encode(state)
+        blob = cache.encode("Svc|r", state)
         assert blob == encode_state(state)
-        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert _values_equal(cache.decode("Svc|r", blob), decode_state(blob))
         assert (cache.hits, cache.misses) == (1, 0)
 
     def test_encode_isolates_from_caller_mutation(self):
         cache = DecodeCache()
         state = _state(3)
-        blob = cache.encode(state)
+        blob = cache.encode("Svc|r", state)
         state[QName(UVA, "Tags")].append("mutated-after-save")
         state[QName(UVA, "Doc")].text = "mutated-after-save"
-        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert _values_equal(cache.decode("Svc|r", blob), decode_state(blob))
 
-    def test_capacity_bounded_fifo(self):
-        cache = DecodeCache(capacity=2)
-        blobs = [encode_state(_state(n)) for n in range(3)]
-        for blob in blobs:
-            cache.decode(blob)
-        cache.decode(blobs[0])  # evicted by blobs[2] — a miss again
-        assert cache.misses == 4
+    def test_changed_bytes_are_decoded_afresh(self):
+        # A hit needs the row's current bytes to equal the memo's.
+        cache = DecodeCache()
+        cache.encode("Svc|r", _state(1))
+        other = encode_state(_state(2))
+        assert _values_equal(cache.decode("Svc|r", other), decode_state(other))
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 1
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            DecodeCache(capacity=0)
+
+class _UncachedStore(BlobResourceStore):
+    """Reference store: every load decodes the row from scratch."""
+
+    def load(self, service, resource_id):
+        return decode_state(self.load_blob(service, resource_id))
 
 
 class TestDecodeCacheThroughStores:
-    """The cache is content-addressed, so store-level lifecycle events
-    (destroy/recreate, checkpoint restore) need no invalidation — prove
-    it against the uncached store as oracle."""
+    """The memo keeps one entry per live row and serves a row only while
+    its bytes are unchanged — prove it against the uncached decode."""
 
     def _stores(self):
-        cached = CachedResourceStore()
-        shared = DecodeCache()
-        cached.decode_cache = shared
-        cached.inner.decode_cache = shared
-        return cached, BlobResourceStore()
+        return CachedResourceStore(), _UncachedStore()
+
+    def test_cached_store_shares_the_inner_memo(self):
+        store = CachedResourceStore()
+        assert store.decode_cache is store.inner.decode_cache
+
+    def test_one_entry_per_row_after_many_saves(self):
+        store = BlobResourceStore()
+        for rid in ("r1", "r2"):
+            store.create("Exec", rid, _state(0))
+        for n in range(1, 40):
+            for rid in ("r1", "r2"):
+                store.save("Exec", rid, _state(n))
+                store.load("Exec", rid)
+        assert len(store.decode_cache) == 2
+        assert store.load("Exec", "r2")[QName(UVA, "Name")] == "job-39"
+
+    def test_destroy_drops_the_entry(self):
+        store, _ = self._stores()
+        for rid in ("r1", "r2", "r3"):
+            store.create("Exec", rid, _state(1))
+            store.load("Exec", rid)
+        store.destroy("Exec", "r2")
+        assert len(store.decode_cache) == 2
+        with pytest.raises(KeyError):
+            store.load("Exec", "r2")
 
     def test_destroy_then_recreate_serves_fresh_state(self):
         store, oracle = self._stores()
@@ -318,6 +351,39 @@ class TestDecodeCacheThroughStores:
         assert _values_equal(store.load("Exec", "r1"), oracle.load("Exec", "r1"))
         assert store.load("Exec", "r1")[QName(UVA, "Name")] == "job-1"
         store.assert_coherent()
+
+    def test_row_rewritten_by_restore_is_redecoded(self):
+        store = BlobResourceStore()
+        store.create("Exec", "r1", _state(1))
+        snap = store.snapshot()
+        store.save("Exec", "r1", _state(9))
+        store.load("Exec", "r1")
+        store.restore(snap)
+        misses = store.decode_cache.misses
+        assert store.load("Exec", "r1")[QName(UVA, "Name")] == "job-1"
+        assert store.decode_cache.misses == misses + 1
+
+    def test_row_rewritten_behind_the_memo_is_not_served_stale(self):
+        # Even without restore's clear, the byte check catches a rewrite.
+        store = BlobResourceStore()
+        store.create("Exec", "r1", _state(1))
+        store.load("Exec", "r1")
+        store.db.table(store.TABLE).update(
+            {"state": encode_state(_state(5))}, equals={"rid": "Exec|r1"}
+        )
+        assert store.load("Exec", "r1")[QName(UVA, "Name")] == "job-5"
+
+    def test_identical_rows_share_no_mutable_state(self):
+        store = BlobResourceStore()
+        state = _state(4)
+        store.create("Exec", "r1", state)
+        store.create("Exec", "r2", state)
+        first = store.load("Exec", "r1")
+        first[QName(UVA, "Tags")].append("mutated")
+        first[QName(UVA, "Meta")]["k"] = "mutated"
+        first[QName(UVA, "Doc")].text = "mutated"
+        for rid in ("r1", "r2"):
+            assert _values_equal(store.load("Exec", rid), _state(4))
 
     @given(st.lists(st.sampled_from(["create", "save", "load", "destroy"]),
                     min_size=1, max_size=12))
@@ -347,6 +413,7 @@ class TestDecodeCacheThroughStores:
             assert results[0][0] == results[1][0]
             assert _values_equal(results[0][1], results[1][1])
         store.assert_coherent()
+        assert len(store.decode_cache) <= 1
 
 
 # -- EnvelopeCache coherence --------------------------------------------------------
@@ -364,51 +431,78 @@ def _envelope(n=0):
 
 
 class TestEnvelopeCache:
-    def test_encode_memoizes_per_envelope(self):
+    def test_encode_matches_plain_serialize(self):
         cache = EnvelopeCache()
         env = _envelope()
-        assert env.serialize(cache) == env.serialize(cache)
-        assert (cache.encode_hits, cache.encode_misses) == (1, 1)
-        assert env.serialize(cache) == env.serialize()  # same wire text
+        assert cache.encode(env) == env.serialize()
+        assert (cache.encode_hits, cache.encode_misses) == (0, 1)
 
     def test_encode_parse_bridge_hits_without_reparsing(self):
         cache = EnvelopeCache()
-        wire = _envelope().serialize(cache)
-        parsed = SoapEnvelope.deserialize(wire, cache)
+        wire = cache.encode(_envelope())
+        parsed = cache.parse(wire)
         assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+        assert len(cache) == 0  # the receiver consumed the entry
         assert parsed.serialize() == wire  # semantically the same message
+
+    def test_bridge_is_isolated_from_the_sender(self):
+        cache = EnvelopeCache()
+        env = _envelope()
+        wire = cache.encode(env)
+        env.body.children[0].text = "CHANGED-AFTER-SEND"
+        assert cache.parse(wire).body.equals(SoapEnvelope.deserialize(wire).body)
 
     def test_repeat_deliveries_are_isolated(self):
         # Same wire text delivered many times (retries, redeliveries):
         # each handler may mutate what it got; later deliveries must
         # never see it.
         cache = EnvelopeCache()
-        wire = _envelope().serialize(cache)
+        wire = cache.encode(_envelope())
         reference = SoapEnvelope.deserialize(wire)
         for _ in range(5):
-            got = SoapEnvelope.deserialize(wire, cache)
+            got = cache.parse(wire)
             assert got.body.equals(reference.body)
             assert got.addressing.message_id == reference.addressing.message_id
             got.body.children[0].text = "CORRUPTED"
             got.body.set(QName(UVA, "hacked"), "yes")
-        assert cache.parse_hits > 0
+        assert (cache.parse_hits, cache.parse_misses) == (1, 4)
 
-    def test_uncached_texts_hit_after_second_sighting(self):
+    def test_unclaimed_entries_are_bounded(self):
         cache = EnvelopeCache()
-        wire = _envelope().serialize()  # never passed through encode()
-        reference = SoapEnvelope.deserialize(wire)
-        for _ in range(4):
-            got = SoapEnvelope.deserialize(wire, cache)
-            assert got.body.equals(reference.body)
-            got.body.children[0].text = "CORRUPTED"
-        assert cache.parse_hits > 0
+        wires = [cache.encode(_envelope(n)) for n in range(BRIDGE_CAPACITY + 10)]
+        assert len(cache) == BRIDGE_CAPACITY
+        cache.parse(wires[0])  # forgotten: parsed afresh
+        cache.parse(wires[-1])  # still bridged
+        assert (cache.parse_hits, cache.parse_misses) == (1, 1)
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EnvelopeCache(capacity=0)
+    def test_unclaimed_entries_stay_bounded_when_messages_drop(self):
+        env = Environment()
+        net = Network(env)
+        net.add_host("node0")
+        net.add_host("node1")
+        net.inject_faults(drop_probability=1.0, seed=1)
+        client = WsrfClient(net, "node0")
+        epr = EndpointReference("http://node1:80/Exec")
+
+        def sender():
+            for n in range(BRIDGE_CAPACITY + 40):
+                body = Element(QName(UVA, "Note"), text=f"n{n}")
+                yield from client.invoke(epr, body, one_way=True)
+
+        env.run(until=env.process(sender()))
+        assert net.stats.drops == BRIDGE_CAPACITY + 40
+        assert len(net.codec) == BRIDGE_CAPACITY
+
+    def test_helpers_profile_their_regions(self):
+        net = Network(Environment())
+        net.prof = WallClockProfiler()
+        wire = encode_envelope(net, _envelope())
+        assert decode_envelope(net, wire).addressing.message_id == "uuid:m-0"
+        calls = {s["stage"]: s["calls"] for s in net.prof.snapshot()["stages"]}
+        assert (calls["soap.encode"], calls["soap.parse"]) == (1, 1)
 
 
-# -- the codec-only differential ----------------------------------------------------
+# -- the single codec path against the deleted uncached one -------------------------
 
 
 def _run_fig3(perf):
@@ -420,28 +514,27 @@ def _run_fig3(perf):
     exe = client.add_program_binary(tb.programs.get("work"))
     for i in range(4):
         spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
-    outcome, job_states, outputs = tb.run_job_set(client, spec)
+    outcome, jobset_epr, topic = tb.run_job_set(client, spec)
     tb.settle()
-    return tb, outcome, job_states, outputs
+    return tb, outcome, jobset_epr, topic
 
 
-class TestCodecOnlyDifferential:
-    """``PerfConfig.codec_only()`` changes host CPU only: the full step
-    trace — timestamps included — is byte-identical to a run with no
-    perf layer at all (stronger than the other knobs, which are allowed
-    to shift simulated latencies)."""
+class TestUncachedPathFixture:
+    """``fig3_uncached_codec.json`` was recorded from this same 4-job
+    Fig. 3 run when the codec still had an uncached path (no decode memo,
+    no envelope bridge).  The single remaining path must reproduce it
+    exactly: step trace with timestamps, final clock, message and byte
+    counts."""
 
-    def test_traces_byte_identical(self):
-        tb_off, outcome_off, states_off, outputs_off = _run_fig3(None)
-        tb_on, outcome_on, states_on, outputs_on = _run_fig3(
-            PerfConfig.codec_only()
-        )
-        assert (outcome_off, states_off, outputs_off) == \
-            (outcome_on, states_on, outputs_on)
-        assert tb_off.env.now == tb_on.env.now
-        assert [(e.at, e.step, e.actor, e.detail) for e in tb_off.trace.events] == \
-            [(e.at, e.step, e.actor, e.detail) for e in tb_on.trace.events]
-        # ... and the caches actually engaged, or this proved nothing.
-        assert tb_on.network.codec.parse_hits > 0
-        decode = tb_on.scheduler.store.decode_cache
-        assert decode is not None and decode.hits > 0
+    def test_fig3_run_matches_uncached_fixture(self):
+        fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        tb, outcome, _, topic = _run_fig3(None)
+        assert (outcome, topic) == (fixture["outcome"], fixture["topic"])
+        assert tb.env.now == fixture["env_now"]
+        assert tb.network.stats.messages == fixture["messages"]
+        assert tb.network.stats.bytes == fixture["bytes"]
+        assert [[e.at, e.step, e.actor, e.detail] for e in tb.trace.events] == \
+            fixture["trace"]
+        # ... and both caches engaged, or this proved nothing.
+        assert tb.network.codec.parse_hits > 0
+        assert tb.scheduler.store.decode_cache.hits > 0

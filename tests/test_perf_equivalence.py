@@ -200,30 +200,19 @@ class TestDifferentialFig3:
         """Flipping one knob at a time keeps equivalence (localizes a
         regression to the mechanism that broke it)."""
         off = _run_jobset(None, _independent_spec)
-        codec_off = dict(codec_decode_cache=False, codec_envelope_cache=False)
         for knob in (
             PerfConfigDirect(state_cache=True, write_elision=False,
                              notification_batch_window_s=0.0,
-                             nis_pass_cache=False, **codec_off),
+                             nis_pass_cache=False),
             PerfConfigDirect(state_cache=False, write_elision=True,
                              notification_batch_window_s=0.0,
-                             nis_pass_cache=False, **codec_off),
+                             nis_pass_cache=False),
             PerfConfigDirect(state_cache=False, write_elision=False,
                              notification_batch_window_s=0.05,
-                             nis_pass_cache=False, **codec_off),
+                             nis_pass_cache=False),
             PerfConfigDirect(state_cache=False, write_elision=False,
                              notification_batch_window_s=0.0,
-                             nis_pass_cache=True, **codec_off),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False,
-                             codec_decode_cache=True,
-                             codec_envelope_cache=False),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False,
-                             codec_decode_cache=False,
-                             codec_envelope_cache=True),
+                             nis_pass_cache=True),
         ):
             on = _run_jobset(knob, _independent_spec)
             self._assert_equivalent(off, on)
