@@ -218,7 +218,7 @@ class SchedulerService(ServiceSkeleton):
 
         seq = getattr(wrapper, "_jobset_seq", 0) + 1
         wrapper._jobset_seq = seq
-        topic = f"jobset-{seq:04d}"
+        topic = f"{_topic_prefix(wrapper)}{seq:04d}"
 
         rid = self.create_resource(
             jobs=jobs,
@@ -770,6 +770,7 @@ class SchedulerService(ServiceSkeleton):
         """
         status_key = QName(UVA, "status")
         topic_key = QName(UVA, "topic")
+        prefix = _topic_prefix(wrapper)
         seq = getattr(wrapper, "_jobset_seq", 0)
         ft = getattr(wrapper, "fault_tolerance", None)
         readopted = 0
@@ -778,9 +779,9 @@ class SchedulerService(ServiceSkeleton):
             topic = state.get(topic_key, "")
             # The topic sequence is derived state: recover the high-water
             # mark so post-restart submissions get fresh topics.
-            if isinstance(topic, str) and topic.startswith("jobset-"):
+            if isinstance(topic, str) and topic.startswith(prefix):
                 try:
-                    seq = max(seq, int(topic[len("jobset-"):]))
+                    seq = max(seq, int(topic[len(prefix):]))
                 except ValueError:
                     pass
             if state.get(status_key) != "Running":
@@ -796,6 +797,13 @@ class SchedulerService(ServiceSkeleton):
             wrapper.jobsets_readopted = (
                 getattr(wrapper, "jobsets_readopted", 0) + readopted
             )
+
+
+def _topic_prefix(wrapper) -> str:
+    """``jobset-``, or ``jobset-z01-`` for a zone of a several-zone
+    federation: every zone publishes through the one root broker, so
+    each zone's topics must be its own (the testbed sets it)."""
+    return getattr(wrapper, "topic_prefix", "jobset-")
 
 
 def _nudge_scheduling_pass(wrapper, jobset_epr):

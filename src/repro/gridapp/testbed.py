@@ -373,6 +373,10 @@ class Testbed:
             scheduler = deploy(SchedulerService, central, "Scheduler", perf=perf)
             for wrapper in (broker, node_info, scheduler):
                 wrapper.zone = zone_name
+            if config.n_zones > 1:
+                # one topic space at the root broker; a 1-zone federation
+                # keeps the single-site topics (byte-identical runs)
+                scheduler.topic_prefix = f"jobset-{zone_name}-"
             self.zones.append(
                 Zone(
                     name=zone_name, central=central, broker=broker,

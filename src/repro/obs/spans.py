@@ -19,7 +19,7 @@ simulation and byte-reproducible across seeded runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.eventlog import ObsEventLog
@@ -36,7 +36,7 @@ class Span:
 
     __slots__ = (
         "span_id", "parent_id", "name", "start", "end", "attrs", "message_id",
-        "detached",
+        "detached", "_first_child", "_next_sibling",
     )
 
     def __init__(
@@ -58,6 +58,17 @@ class Span:
         #: ownership moved to a detached process (a handed-off one-way
         #: send): an ancestor's finish_subtree must not close it
         self.detached = False
+        #: child spans as a list linked newest first, so a subtree
+        #: close walks the subtree instead of every open span
+        self._first_child: Optional[Span] = None
+        self._next_sibling: Optional[Span] = None
+
+    def _children(self) -> Iterator["Span"]:
+        """Child spans, newest first."""
+        child = self._first_child
+        while child is not None:
+            yield child
+            child = child._next_sibling
 
     @property
     def finished(self) -> bool:
@@ -80,8 +91,7 @@ class SpanRecorder:
         self.registry = registry
         self.spans: List[Span] = []
         self._by_id: Dict[int, Span] = {}
-        #: insertion-ordered index of OPEN spans (subset of ``spans``),
-        #: so subtree closes scan live spans instead of the whole run
+        #: insertion-ordered index of OPEN spans (subset of ``spans``)
         self._open: Dict[int, Span] = {}
         #: innermost-last stacks of OPEN spans, keyed by message id
         self._open_by_message: Dict[str, List[Span]] = {}
@@ -123,6 +133,9 @@ class SpanRecorder:
         self.spans.append(span)
         self._by_id[span.span_id] = span
         self._open[span.span_id] = span
+        if parent is not None:
+            span._next_sibling = parent._first_child
+            parent._first_child = span
         if message_id is not None:
             self._open_by_message.setdefault(message_id, []).append(span)
         if self.event_log is not None:
@@ -166,24 +179,21 @@ class SpanRecorder:
         when the handler finishes.  The root itself always closes, even
         if detached (that IS the owner's close).
         """
-        for span in list(self._open.values()):
-            if span.end is None and self._owned_descendant(span, root):
-                self.finish(span)
+        owned: List[Span] = []
+        pending = [root]
+        while pending:
+            for span in pending.pop()._children():
+                if span.end is None:
+                    if span.detached:
+                        continue  # shielded: a live handed-off send en route
+                    owned.append(span)
+                # closed spans pass through: an out-of-order close may
+                # have left open spans beneath them
+                pending.append(span)
+        owned.sort(key=lambda span: span.span_id)
+        for span in owned:
+            self.finish(span)
         self.finish(root)
-
-    def _owned_descendant(self, span: Span, ancestor: Span) -> bool:
-        seen = 0
-        current: Optional[Span] = span
-        while current is not None and seen < len(self._by_id) + 1:
-            if current.span_id == ancestor.span_id:
-                return True
-            if current.detached and current.end is None:
-                return False  # shielded: a live handed-off send en route
-            seen += 1
-            current = (
-                None if current.parent_id is None else self._by_id.get(current.parent_id)
-            )
-        return False
 
     # -- queries ---------------------------------------------------------------
 
@@ -194,7 +204,7 @@ class SpanRecorder:
         return list(self._open.values())
 
     def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        return list(span._children())[::-1]
 
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]

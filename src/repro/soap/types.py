@@ -58,14 +58,21 @@ def to_typed_element(tag, value: Any) -> Element:
     elif isinstance(value, dict):
         el.attrib[_XSI_TYPE] = "uva:map"
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"map keys must be strings, got {key!r}")
-            entry = el.subelement(_ENTRY)
-            entry.subelement(_KEY, text=key)
-            entry.append(to_typed_element(_VALUE, item))
+            el.append(typed_map_entry(key, item))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
     return el
+
+
+def typed_map_entry(key: str, item: Any) -> Element:
+    """The ``uva:entry`` child :func:`to_typed_element` writes for one
+    ``key: item`` pair of a dict value."""
+    if not isinstance(key, str):
+        raise TypeError(f"map keys must be strings, got {key!r}")
+    entry = Element(_ENTRY)
+    entry.subelement(_KEY, text=key)
+    entry.append(to_typed_element(_VALUE, item))
+    return entry
 
 
 def from_typed_element(element: Element) -> Any:

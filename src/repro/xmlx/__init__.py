@@ -12,22 +12,25 @@ The pieces:
 ``NS``            namespace URI constants for every spec the paper uses
 ``Element``       the tree node (tag, attributes, text, children)
 ``to_string``     namespace-aware serializer
+``FragmentWriter`` renders the pieces of one document apart, same bytes
 ``parse``         a small, strict, from-scratch XML parser
 ``xpath_select``  the XPath-lite engine behind QueryResourceProperties
 """
 
 from repro.xmlx.qname import NS, QName
 from repro.xmlx.element import Element
-from repro.xmlx.writer import to_string
+from repro.xmlx.writer import FragmentWriter, namespace_uris, to_string
 from repro.xmlx.parser import XmlParseError, parse
 from repro.xmlx.xpath import XPathError, xpath_select
 
 __all__ = [
     "Element",
+    "FragmentWriter",
     "NS",
     "QName",
     "XPathError",
     "XmlParseError",
+    "namespace_uris",
     "parse",
     "to_string",
     "xpath_select",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import NS, QName
@@ -39,9 +39,13 @@ def escape_attr(value: str) -> str:
 
 
 class _PrefixAllocator:
-    """Assigns stable prefixes to namespace URIs within one document."""
+    """Assigns stable prefixes to namespace URIs within one document.
 
-    def __init__(self) -> None:
+    Prefixes go to *uris* in order: the preferred prefix when it is
+    free, else the next ``ns0``, ``ns1``, ….
+    """
+
+    def __init__(self, uris: Iterable[str]) -> None:
         self._by_uri: Dict[str, str] = {}
         self._used = set()
         self._counter = 0
@@ -50,6 +54,8 @@ class _PrefixAllocator:
         self._name_memo: Dict[QName, str] = {}
         #: memoized ("<prefix:local", "</prefix:local>") tag fragments
         self._tag_memo: Dict[QName, Tuple[str, str]] = {}
+        for uri in uris:
+            self.prefix_for(uri)
 
     def prefix_for(self, uri: str) -> str:
         prefix = self._by_uri.get(uri)
@@ -76,14 +82,23 @@ class _PrefixAllocator:
         ]
 
 
-def _collect_uris(element: Element, allocator: _PrefixAllocator) -> None:
+def _collect_uris(element: Element, seen: Dict[str, None]) -> None:
+    # A dict keeps first-insertion order: re-setting a key moves nothing.
     if element.tag.uri:
-        allocator.prefix_for(element.tag.uri)
+        seen[element.tag.uri] = None
     for name in element.attrib:
         if name.uri:
-            allocator.prefix_for(name.uri)
+            seen[name.uri] = None
     for child in element.children:
-        _collect_uris(child, allocator)
+        _collect_uris(child, seen)
+
+
+def namespace_uris(element: Element) -> Tuple[str, ...]:
+    """The distinct namespace URIs in *element*'s subtree, in the order
+    :func:`to_string` meets them (tag, attributes, then children)."""
+    seen: Dict[str, None] = {}
+    _collect_uris(element, seen)
+    return tuple(seen)
 
 
 def to_string(root: Element, xml_declaration: bool = False, indent: bool = False) -> str:
@@ -93,8 +108,9 @@ def to_string(root: Element, xml_declaration: bool = False, indent: bool = False
     ASP.NET uses for SOAP envelopes), which keeps prefixes stable and the
     output easy to diff in tests.
     """
-    allocator = _PrefixAllocator()
-    _collect_uris(root, allocator)
+    seen: Dict[str, None] = {}
+    _collect_uris(root, seen)
+    allocator = _PrefixAllocator(seen)
     out: List[str] = []
     if xml_declaration:
         out.append('<?xml version="1.0" encoding="utf-8"?>')
@@ -105,6 +121,43 @@ def to_string(root: Element, xml_declaration: bool = False, indent: bool = False
     else:
         _write_compact(root, allocator, out, allocator.declarations())
     return "".join(out)
+
+
+class FragmentWriter:
+    """Compact XML for the pieces of one document, rendered apart.
+
+    :func:`to_string` hoists every namespace declaration to the root and
+    allocates prefixes in the order it first meets each URI.  A writer
+    built from that same order renders each piece exactly as it appears
+    inside the whole document, so pieces rendered separately (and
+    re-rendered only when they change) join into the same bytes.  The
+    order for a document is its root's URIs followed by each piece's
+    :func:`namespace_uris`, in document order, first occurrence kept.
+    """
+
+    __slots__ = ("_allocator", "_decls")
+
+    def __init__(self, uris: Iterable[str]) -> None:
+        self._allocator = _PrefixAllocator(uris)
+        self._decls = self._allocator.declarations()
+
+    def render(self, element: Element) -> str:
+        """*element* as compact XML, declaring no namespaces."""
+        out: List[str] = []
+        _write_compact(element, self._allocator, out)
+        return "".join(out)
+
+    def tags(self, element: Element, declarations: bool = False) -> Tuple[str, str]:
+        """Start and end tag of *element*, for a caller that renders its
+        (non-empty) content; *element*'s own text and children are ignored."""
+        allocator = self._allocator
+        name = _name(element.tag, allocator)
+        decls = "".join(" " + decl for decl in self._decls) if declarations else ""
+        attrs = "".join(
+            f' {_name(key, allocator)}="{escape_attr(value)}"'
+            for key, value in element.attrib.items()
+        )
+        return f"<{name}{decls}{attrs}>", f"</{name}>"
 
 
 def _name(qname: QName, allocator: _PrefixAllocator) -> str:

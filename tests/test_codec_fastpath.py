@@ -18,16 +18,23 @@ Four concerns, one file:
   destroy-then-recreate, post-restore re-decode, move semantics and the
   bound on unclaimed bridge entries — plus a Fig. 3 run pinned to a
   fixture recorded from the deleted uncached path (byte-identical
-  trace, timestamps included).
+  trace, timestamps included);
+- the incremental save path (a row's memo re-renders only the fields
+  and map entries that changed): a Hypothesis differential against a
+  from-scratch :func:`encode_state`, value isolation, and a bound on
+  the work one changed map entry costs.
 """
 
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.db.resource_store as resource_store
+import repro.soap.types as soap_types
 from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache
 from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FileRef, JobSpec, Testbed
@@ -414,6 +421,185 @@ class TestDecodeCacheThroughStores:
             assert _values_equal(results[0][1], results[1][1])
         store.assert_coherent()
         assert len(store.decode_cache) <= 1
+
+
+# -- incremental save path ----------------------------------------------------------
+
+_OTHER_A = "urn:example:a"  # non-preferred namespaces: prefixes ns0, ns1, ...
+_OTHER_B = "urn:example:b"
+_TEXT = st.text(alphabet="ab<&\"' ", max_size=3)
+_EPRS = [
+    EndpointReference("http://node1:80/Exec", {QName(UVA, "ResourceID"): "r1"}),
+    EndpointReference("http://node2:80/Exec"),
+]
+
+
+def _element(tag, attrs, text, tail, children):
+    element = Element(tag, text=text)
+    for name, value in attrs:
+        element.set(name, value)
+    element.tail = tail
+    element.extend(children)
+    return element
+
+
+_TAGS = st.sampled_from(
+    [QName(UVA, "doc"), QName(_OTHER_A, "doc"), QName(_OTHER_B, "x"), QName("plain")]
+)
+_ATTRS = st.lists(
+    st.tuples(st.sampled_from([QName("id"), QName(_OTHER_B, "at"), QName(NS.XSI, "type")]),
+              _TEXT),
+    max_size=2, unique_by=lambda pair: pair[0],
+)
+_ELEMENTS = st.recursive(
+    st.builds(_element, _TAGS, _ATTRS, _TEXT, _TEXT, st.just([])),
+    lambda children: st.builds(_element, _TAGS, _ATTRS, _TEXT, _TEXT,
+                               st.lists(children, max_size=2)),
+    max_leaves=3,
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]), _TEXT, st.binary(max_size=3),
+    st.sampled_from(_EPRS), _ELEMENTS,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=4,
+)
+_FIELDS = [QName(UVA, "jobs"), QName(UVA, "phase"), QName(UVA, "status"),
+           QName(_OTHER_A, "extra")]
+_KEYS = st.sampled_from(["j0", "j1", "j2", "j3", "<&>"])
+
+
+def _edit(data, state):
+    """One in-place edit of *state*, drawn to cover map entries added,
+    removed, changed and reordered, maps emptied and refilled, fields
+    added and removed."""
+    field = data.draw(st.sampled_from(_FIELDS))
+    kind = data.draw(st.sampled_from(
+        ["set_entry", "set_entry", "drop_entry", "reorder", "clear", "set_field",
+         "drop_field"]))
+    current = state.get(field)
+    if kind == "drop_field":
+        state.pop(field, None)
+    elif kind == "set_field" or not isinstance(current, dict):
+        state[field] = data.draw(_VALUES) if kind == "set_field" else {}
+    elif kind == "set_entry":
+        current[data.draw(_KEYS)] = data.draw(_VALUES)
+    elif kind == "drop_entry":
+        current.pop(data.draw(_KEYS), None)
+    elif kind == "reorder":
+        items = list(current.items())
+        data.draw(st.randoms(use_true_random=False)).shuffle(items)
+        current.clear()
+        current.update(items)
+    else:
+        current.clear()
+
+
+class TestIncrementalEncode:
+    """Every blob the memoized save path writes must be byte-identical to
+    a from-scratch :func:`encode_state` of the same state."""
+
+    @given(st.data())
+    def test_random_histories_match_from_scratch_encode(self, data):
+        store = BlobResourceStore()
+        state = {QName(UVA, "jobs"): {"j0": 1, "j1": "a"}, QName(UVA, "status"): "x"}
+        store.create("Svc", "r", state)
+        snapshot = store.snapshot()
+        for _ in range(data.draw(st.integers(1, 15))):
+            op = data.draw(st.sampled_from(
+                ["save", "save", "save", "save", "recreate", "restore", "load"]))
+            if op == "recreate":
+                store.destroy("Svc", "r")
+                blob = store.create("Svc", "r", state)
+            elif op == "restore":
+                store.restore(snapshot)
+                state = decode_state(snapshot["Svc|r"])
+                continue
+            elif op == "load":
+                state = store.load("Svc", "r")
+                _edit(data, state)
+                continue
+            else:
+                _edit(data, state)
+                blob = store.save("Svc", "r", state)
+                snapshot = data.draw(st.sampled_from([snapshot, store.snapshot()]))
+            assert blob == encode_state(state)
+            assert _values_equal(store.load("Svc", "r"), decode_state(blob))
+
+    def test_namespace_appearing_and_disappearing(self):
+        # A map entry in a non-preferred namespace moves every later
+        # prefix: the save must render afresh, then splice again.
+        store = BlobResourceStore()
+        jobs = {f"j{i}": i for i in range(4)}
+        state = {QName(UVA, "jobs"): jobs, QName(_OTHER_B, "tail"): Element(QName(_OTHER_B, "t"))}
+        store.create("Svc", "r", state)
+        for value in (Element(QName(_OTHER_A, "x")), 7, Element(QName(_OTHER_A, "x"))):
+            jobs["j2"] = value
+            assert store.save("Svc", "r", state) == encode_state(state)
+        assert b'xmlns:ns1="urn:example:b"' in encode_state(state)
+
+    @pytest.mark.parametrize("before, after", [
+        (1, True), (1, 1.0), (0.0, -0.0),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        (_element(QName("e"), [], "t", "", []), _element(QName("e"), [], "t", "tail", [])),
+        (_element(QName("e"), [(QName("x"), "1"), (QName("y"), "2")], "", "", []),
+         _element(QName("e"), [(QName("y"), "2"), (QName("x"), "1")], "", "", [])),
+        (_element(QName("e"), [], "", "", [_element(QName("c"), [], "", "", [])]),
+         _element(QName("e"), [], "", "", [_element(QName("c"), [], "", "tail", [])])),
+    ])
+    def test_equal_values_that_encode_differently_are_rendered_again(self, before, after):
+        # == (and Element.equals) call each pair equal; the bytes differ.
+        for wrap in (lambda v: {"k": v, "z": 0}, lambda v: v):
+            store = BlobResourceStore()
+            state = {QName(UVA, "jobs"): wrap(before), QName(UVA, "m"): {"k": 1}}
+            store.create("Svc", "r", state)
+            state[QName(UVA, "jobs")] = wrap(after)
+            assert store.save("Svc", "r", state) == encode_state(state)
+
+    def test_caller_mutation_after_save_reaches_neither_blob_nor_load(self):
+        store = BlobResourceStore()
+        doc = Element(QName(UVA, "doc"), text="t")
+        state = {QName(UVA, "jobs"): {"a": [1], "b": None, "c": None}, QName(UVA, "n"): 1}
+        store.create("Svc", "r", state)
+        # changed entries and fields go into the memo; they must be copies
+        state[QName(UVA, "jobs")].update(a=[1, 2], b=doc, c={"k": "v"})
+        saved = {name: resource_store._copy_value(value) for name, value in state.items()}
+        store.save("Svc", "r", state)
+        state[QName(UVA, "jobs")]["a"].append(3)
+        state[QName(UVA, "jobs")]["c"]["k"] = "changed"
+        doc.text = "changed"
+        assert _values_equal(store.load("Svc", "r"), saved)
+        # The memo never aliased the caller's values: the mutated state
+        # is seen as changed, and the original state encodes as before.
+        assert store.save("Svc", "r", state) == encode_state(state)
+        assert store.save("Svc", "r", saved) == encode_state(saved)
+        assert _values_equal(store.load("Svc", "r"), saved)
+
+    @pytest.mark.parametrize("size", [16, 256])
+    def test_one_changed_entry_costs_the_same_at_any_map_size(self, size, monkeypatch):
+        calls = []
+        real = soap_types.to_typed_element
+
+        def counted(tag, value):
+            calls.append(tag)
+            return real(tag, value)
+
+        monkeypatch.setattr(soap_types, "to_typed_element", counted)
+        monkeypatch.setattr(resource_store, "to_typed_element", counted)
+        rng = random.Random(size)
+        jobs = {f"job{i:03d}": rng.choice(["pending", "done"]) for i in range(size)}
+        state = {QName(UVA, "jobs"): jobs, QName(UVA, "status"): "Running"}
+        store = BlobResourceStore()
+        store.create("Svc", "r", state)
+        calls.clear()
+        jobs["job007"] = "failed"
+        blob = store.save("Svc", "r", state)
+        # the map's shell and the one changed entry's value
+        assert len(calls) == 2
+        assert blob == encode_state(state)
 
 
 # -- EnvelopeCache coherence --------------------------------------------------------

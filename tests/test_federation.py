@@ -32,6 +32,7 @@ from repro.gridapp import (
     Testbed,
 )
 from repro.gridapp.federation import FederatedGridClient, ZoneRoute
+from repro.gridapp.scheduler import SchedulerService
 from repro.osim.programs import make_compute_program
 from repro.xmlx import NS, QName
 
@@ -366,6 +367,51 @@ class TestFederatedTopology:
         # submit time is not a steal — nothing was orphaned)
         adopter = next(z for z in tb.zones if z.name == sub.zone)
         assert getattr(adopter.scheduler, "jobsets_stolen", 0) == 0
+
+    def test_zones_name_their_job_set_topics_apart(self, monkeypatch):
+        """Every zone publishes through the one root broker: two zones'
+        first job sets must not share a topic, or each zone's client and
+        Scheduler would receive the other's job events."""
+        seen = []
+        on_notification = SchedulerService.on_notification
+
+        def spy(self, topic, payload, producer):
+            seen.append((self.wsrf.wrapper.zone, topic))
+            return on_notification(self, topic, payload, producer)
+
+        monkeypatch.setattr(SchedulerService, "on_notification", spy)
+        tb = _federated_testbed()
+        clients = [tb.make_client() for _ in tb.zones]
+
+        def scenario():
+            subs = []
+            for zone, client in zip(tb.zones, clients):
+                jobset_epr, topic = yield from client.submit(
+                    _spec_of(client, tb, 2),
+                    scheduler_epr=zone.scheduler.service_epr(),
+                    scheduler_cert=zone.central.cert,
+                )
+                subs.append((jobset_epr, topic))
+            outcomes = []
+            for client, (jobset_epr, _) in zip(clients, subs):
+                outcomes.append((yield from client.poll_until_complete(
+                    jobset_epr, give_up_after=600.0)))
+            return [topic for _, topic in subs], outcomes
+
+        topics, outcomes = tb.run(scenario())
+        tb.settle()
+        assert topics == ["jobset-z00-0001", "jobset-z01-0001"]
+        assert outcomes == ["completed", "completed"]
+        for client, topic in zip(clients, topics):
+            received = [note.topic.split("/")[0] for note in client.listener.received]
+            assert received and set(received) == {topic}
+        assert seen and all(topic.startswith(f"jobset-{zone}-") for zone, topic in seen)
+        # a rebooted Scheduler recovers its topic high-water mark from the
+        # store, so its next set does not reuse jobset-zNN-0001
+        for zone in tb.zones:
+            del zone.scheduler._jobset_seq
+            SchedulerService.wsrf_recover(zone.scheduler)
+            assert zone.scheduler._jobset_seq == 1
 
     def test_federated_client_rejects_duplicate_routes(self):
         tb = _federated_testbed()

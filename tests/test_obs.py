@@ -140,6 +140,22 @@ class TestSpanRecorder:
         assert not other.finished
         assert rec.open_spans() == [other]
 
+    def test_finish_subtree_closes_exactly_its_owned_descendants(self):
+        env, rec = self._recorder()
+        unrelated = [rec.start(f"u{i}") for i in range(1000)]
+        root = rec.start("root")
+        child = rec.start("child", parent=root)
+        closed_mid = rec.start("mid", parent=root)
+        below_closed = rec.start("below", parent=closed_mid)
+        rec.finish(closed_mid)  # out of order: its child is still open
+        shielded = rec.start("net.oneway", parent=child)
+        shielded.detached = True
+        rec.start("under.shielded", parent=shielded)
+        rec.start("unrelated.child", parent=unrelated[7])
+        rec.finish_subtree(root)
+        assert [s for s in rec.spans if s.finished] == [root, child, closed_mid, below_closed]
+        assert len(rec.open_spans()) == 1000 + 3
+
     def test_finish_subtree_skips_detached_live_sends(self):
         env, rec = self._recorder()
         dispatch = rec.start("wsrf.dispatch")
